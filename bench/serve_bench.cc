@@ -15,8 +15,8 @@
 // Modes:
 //  - single_request:   seed per-request scoring loop, one request at a time
 //  - queue_off_fp32:   serve::Server with max_batch=1 (engine, no batching)
-//  - microbatch_fp32:  max_batch=64, 1ms deadline; a same-content snapshot
-//                      swap happens mid-saturation
+//  - microbatch_fp32:  max_batch=64, opportunistic flushing; a same-content
+//                      snapshot swap happens mid-saturation
 //  - microbatch_int8:  same queue, int8 quantized scoring
 //  - overload:         open-loop Poisson at 2x the measured microbatch_fp32
 //                      capacity, ladder_on (bounded queue + degradation
@@ -64,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/host_info.h"
 #include "bench/seed_topk.h"
 #include "core/check.h"
 #include "core/config.h"
@@ -480,7 +481,6 @@ int RunOverloadSmoke(std::shared_ptr<const ModelSnapshot> snapshot,
   }
   ServerOptions options;
   options.max_batch = 4;
-  options.flush_deadline_us = 0;
   options.max_queue = 64;
   options.overload.degrade_enter = 8;
   options.overload.degrade_exit = 0;  // only an empty queue recovers
@@ -548,7 +548,10 @@ void WriteJson(const std::string& path, const std::string& dataset,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"serve_bench\",\n");
   std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
-  std::fprintf(f, "  \"hardware_concurrency\": %d,\n",
+  const darec::benchutil::HostInfo host = darec::benchutil::MeasureHost();
+  std::fprintf(f, "  \"nproc\": %lld,\n", static_cast<long long>(host.nproc));
+  std::fprintf(f, "  \"effective_cores\": %.2f,\n", host.effective_cores);
+  std::fprintf(f, "  \"pool_threads\": %d,\n",
                darec::core::ThreadPool::DefaultThreads());
   std::fprintf(f, "  \"dataset\": \"%s\",\n", dataset.c_str());
   std::fprintf(f, "  \"users\": %lld,\n", static_cast<long long>(num_users));
@@ -729,7 +732,6 @@ int main(int argc, char** argv) {
   {  // --- queue_off_fp32: engine path, batching disabled -------------------
     ServerOptions options;
     options.max_batch = 1;
-    options.flush_deadline_us = 0;
     options.max_queue = 0;  // closed-loop burst: no admission control
     options.overload.enabled = false;
     ModeReport report;
@@ -754,13 +756,14 @@ int main(int argc, char** argv) {
   }
 
   {  // --- microbatch_fp32, with a mid-saturation snapshot swap -------------
-    ServerOptions options;  // max_batch=64, deadline=1ms
+    ServerOptions options;  // max_batch=64
     options.max_queue = 0;  // closed-loop burst: no admission control
     options.overload.enabled = false;
     ModeReport report;
     report.name = "microbatch_fp32";
     report.detail =
-        "max_batch=64, deadline=1ms; same-content snapshot swap mid-run";
+        "max_batch=64, opportunistic flushing; same-content snapshot swap "
+        "mid-run";
     {
       Server server(*fp32_snapshot, options);
       report.saturation_users_per_sec =
@@ -785,7 +788,8 @@ int main(int argc, char** argv) {
     options.overload.enabled = false;
     ModeReport report;
     report.name = "microbatch_int8";
-    report.detail = "max_batch=64, deadline=1ms, int8 quantized scoring";
+    report.detail = "max_batch=64, opportunistic flushing, int8 quantized "
+                    "scoring";
     {
       Server server(*int8_snapshot, options);
       double overlap = -1.0;
@@ -812,7 +816,7 @@ int main(int argc, char** argv) {
     const double capacity = reports[2].saturation_users_per_sec;
     const double overload_qps = 2.0 * capacity;
     {
-      ServerOptions options;  // max_batch=64, deadline=1ms
+      ServerOptions options;  // max_batch=64
       options.max_queue = 512;
       options.overload.k_degraded = std::max<int64_t>(1, k / 2);
       Server server(*int8_snapshot, options);  // int8 blocks for degradation

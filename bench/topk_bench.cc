@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/host_info.h"
 #include "bench/seed_topk.h"
 #include "core/check.h"
 #include "core/config.h"
@@ -107,7 +108,11 @@ void WriteJson(const std::string& path, const std::string& dataset,
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"topk_bench\",\n");
   std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
-  std::fprintf(f, "  \"hardware_concurrency\": %d,\n", ThreadPool::DefaultThreads());
+  const darec::benchutil::HostInfo host = darec::benchutil::MeasureHost();
+  std::fprintf(f, "  \"nproc\": %lld,\n", static_cast<long long>(host.nproc));
+  std::fprintf(f, "  \"effective_cores\": %.2f,\n", host.effective_cores);
+  std::fprintf(f, "  \"pool_threads\": %d,\n",
+               darec::core::ThreadPool::DefaultThreads());
   std::fprintf(f, "  \"dataset\": \"%s\",\n", dataset.c_str());
   std::fprintf(f, "  \"users\": %lld,\n", static_cast<long long>(num_users));
   std::fprintf(f, "  \"items\": %lld,\n", static_cast<long long>(num_items));

@@ -15,16 +15,20 @@
 # and a parity-gated fusion bench smoke guard expression fusion (both
 # evaluation paths must stay bitwise identical). A data_bench smoke
 # generates a multi-shard web_scale catalog and gates the streamed
-# (memory-mapped) data path bitwise against the resident one.
+# (memory-mapped) data path bitwise against the resident one. An
+# UndefinedBehaviorSanitizer lane runs the full ctest suite (findings abort,
+# so each one fails its test).
 #
-# Usage: scripts/check.sh [--no-asan] [--no-tsan]
+# Usage: scripts/check.sh [--no-asan] [--no-ubsan] [--no-tsan]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run_asan=1
+run_ubsan=1
 run_tsan=1
 for arg in "$@"; do
   [[ "$arg" == "--no-asan" ]] && run_asan=0
+  [[ "$arg" == "--no-ubsan" ]] && run_ubsan=0
   [[ "$arg" == "--no-tsan" ]] && run_tsan=0
 done
 
@@ -117,6 +121,13 @@ if [[ "$run_asan" == 1 ]]; then
   # out-of-bounds read caused by a corrupted length field would trap.
   ctest --test-dir build-asan --output-on-failure \
     -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test'
+fi
+
+if [[ "$run_ubsan" == 1 ]]; then
+  echo "=== UBSan: full ctest ==="
+  cmake -B build-ubsan -S . -DDAREC_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j "$(nproc)" >/dev/null
+  ctest --test-dir build-ubsan --output-on-failure -j "$(nproc)"
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

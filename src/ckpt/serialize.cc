@@ -4,17 +4,21 @@
 
 namespace darec::ckpt {
 
+// Empty sections (an empty vector, matrix or string) hand these a null
+// data() at size 0. Both sides return before touching the pointer: memcpy
+// and friends require non-null arguments even for zero bytes.
 void ByteWriter::PutRaw(const void* data, size_t size) {
+  if (size == 0) return;
   buffer_.append(static_cast<const char*>(data), size);
 }
 
 void ByteWriter::PutBytes(std::string_view value) {
-  buffer_.append(value.data(), value.size());
+  PutRaw(value.data(), value.size());
 }
 
 void ByteWriter::PutString(std::string_view value) {
   PutU64(value.size());
-  buffer_.append(value.data(), value.size());
+  PutRaw(value.data(), value.size());
 }
 
 void ByteWriter::PutMatrix(const tensor::Matrix& value) {
@@ -43,6 +47,7 @@ core::Status ByteReader::Need(size_t size) const {
 }
 
 void ByteReader::GetRaw(void* out, size_t size) {
+  if (size == 0) return;
   std::memcpy(out, data_.data() + pos_, size);
   pos_ += size;
 }

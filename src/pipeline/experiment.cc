@@ -69,6 +69,16 @@ core::StatusOr<std::unique_ptr<Experiment>> Experiment::Create(
     return core::Status::NotFound("unknown variant: " + spec.variant);
   }
 
+  // Backbones that cache per-step state in Forward/SslLoss cannot run
+  // concurrent worker slots; refuse here rather than deep in the executor.
+  if (spec.train_options.workers > 1 &&
+      !experiment->backbone_->SupportsConcurrentForward()) {
+    return core::Status::InvalidArgument(
+        experiment->backbone_->name() +
+        " caches per-step state in Forward/SslLoss and cannot run "
+        "data-parallel workers; use workers=1");
+  }
+
   experiment->trainer_ = std::make_unique<Trainer>(
       experiment->backbone_.get(), experiment->aligner_.get(),
       experiment->dataset_.get(), spec.train_options);

@@ -12,22 +12,12 @@
 namespace darec::serve {
 
 ServerOptions Server::Validate(ServerOptions options) {
-  bool clamped = false;
   if (options.max_batch < 1) {
     options.max_batch = 1;
-    clamped = true;
-  }
-  if (options.flush_deadline_us < 0) {
-    options.flush_deadline_us = 0;
-    clamped = true;
-  }
-  if (clamped) {
-    DARE_LOG(Warning) << "serve::Server: out-of-range options clamped to "
-                      << "max_batch=" << options.max_batch
-                      << " flush_deadline_us=" << options.flush_deadline_us;
+    DARE_LOG(Warning) << "serve::Server: out-of-range max_batch clamped to 1";
   }
   // Nonsensical combinations are programmer errors, not clamps: a bounded
-  // queue smaller than one batch means the size trigger can never fire.
+  // queue smaller than one batch means no flush can ever find a full one.
   if (options.max_queue > 0) {
     DARE_CHECK_GE(options.max_queue, options.max_batch)
         << "ServerOptions::max_queue must admit at least one full batch";
@@ -88,12 +78,11 @@ std::future<core::StatusOr<TopKResult>> Server::SubmitTopK(int64_t user,
   Pending pending;
   pending.user = user;
   pending.k = k;
-  pending.enqueued = std::chrono::steady_clock::now();
   if (timeout_us != 0) {
     pending.has_deadline = true;
     pending.deadline =
-        pending.enqueued + std::chrono::microseconds(std::max<int64_t>(
-                               0, timeout_us));
+        std::chrono::steady_clock::now() +
+        std::chrono::microseconds(std::max<int64_t>(0, timeout_us));
   }
   std::future<core::StatusOr<TopKResult>> future =
       pending.promise.get_future();
@@ -176,37 +165,27 @@ void Server::FlusherLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    FlushReason reason = FlushReason::kDrain;
-    if (!stopping_) {
-      // Wait until the batch fills or the oldest pending request's deadline
-      // passes — whichever fires first releases the flush.
-      const auto deadline =
-          queue_.front().enqueued +
-          std::chrono::microseconds(options_.flush_deadline_us);
-      const bool filled = cv_.wait_until(lock, deadline, [&] {
-        return stopping_ ||
-               static_cast<int64_t>(queue_.size()) >= options_.max_batch;
-      });
-      reason = stopping_        ? FlushReason::kDrain
-               : filled         ? FlushReason::kSize
-                                : FlushReason::kDeadline;
+    if (queue_.empty()) return;  // stopping, and nothing left to drain
+    // Opportunistic batching: an idle flusher never waits for company. It
+    // takes whatever is pending right now (up to max_batch) — a lone
+    // request leaves as a batch of one, and everything that arrives while
+    // a flush runs becomes the next batch.
+    const int64_t depth = static_cast<int64_t>(queue_.size());
+    FlushReason reason = FlushReason::kPartial;
+    if (stopping_) {
+      reason = FlushReason::kDrain;
+    } else if (depth >= options_.max_batch) {
+      reason = FlushReason::kSize;
     }
     // Batch assembly: one ladder observation for the whole flush (depth
     // before anything is taken), then pop until the batch fills — expired
     // requests complete with DeadlineExceeded here and never take a GEMM
     // slot, so a burst of doomed requests costs no scoring work.
-    const LoadState state =
-        controller_.Observe(static_cast<int64_t>(queue_.size()));
+    const LoadState state = controller_.Observe(depth);
     const auto now = std::chrono::steady_clock::now();
     std::vector<Pending> batch;
     std::vector<Pending> expired;
-    batch.reserve(static_cast<size_t>(
-        std::min<int64_t>(static_cast<int64_t>(queue_.size()),
-                          options_.max_batch)));
+    batch.reserve(static_cast<size_t>(std::min(depth, options_.max_batch)));
     while (!queue_.empty() &&
            static_cast<int64_t>(batch.size()) < options_.max_batch) {
       Pending p = std::move(queue_.front());
@@ -335,7 +314,7 @@ void Server::FlushBatch(std::vector<Pending> batch, FlushReason reason,
     ++stats_.flushes;
     switch (reason) {
       case FlushReason::kSize: ++stats_.size_flushes; break;
-      case FlushReason::kDeadline: ++stats_.deadline_flushes; break;
+      case FlushReason::kPartial: ++stats_.deadline_flushes; break;
       case FlushReason::kDrain: ++stats_.drain_flushes; break;
     }
     stats_.completed += static_cast<int64_t>(slots.size());

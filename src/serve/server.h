@@ -27,22 +27,18 @@ struct TopKResult {
 };
 
 struct ServerOptions {
-  /// Size trigger: a flush fires as soon as this many requests are pending.
-  /// Clamped to ≥ 1 (logged once). max_batch = 1 degenerates to the
-  /// single-request path (one engine batch-of-one per request) — the
+  /// Largest batch one flush scores. The flusher never waits for a batch
+  /// to fill: it takes up to max_batch of whatever is pending the moment it
+  /// is idle. Clamped to ≥ 1 (logged once). max_batch = 1 degenerates to
+  /// the single-request path (one engine batch-of-one per request) — the
   /// serve_bench baseline.
   int64_t max_batch = 64;
-  /// Deadline trigger: a flush fires at latest this long after the OLDEST
-  /// pending request arrived, whatever the batch size — bounding the
-  /// batching delay any request can pay. 0 flushes immediately; negative
-  /// values clamp to 0 (logged once).
-  int64_t flush_deadline_us = 1000;
   /// Bounded admission: a submit that would grow the queue past this depth
   /// is shed immediately with ResourceExhausted instead of being enqueued —
   /// the queue can never grow without bound. <= 0 means unbounded (the
   /// pre-overload behavior; only sensible in closed-loop benches). When
-  /// bounded, max_queue < max_batch is rejected (CHECK): the size trigger
-  /// could never fire.
+  /// bounded, max_queue < max_batch is rejected (CHECK): no flush could
+  /// ever find a full batch.
   int64_t max_queue = 4096;
   /// Numeric path batches are scored on. kInt8 requires snapshots built
   /// with build_int8; requests flushed against a snapshot without int8
@@ -55,16 +51,21 @@ struct ServerOptions {
   OverloadOptions overload;
 };
 
-/// Monotonic counters (see stats()). A flush's reason is whichever trigger
-/// actually released it: size (max_batch reached), deadline (oldest request
-/// aged out), or drain (server stopping).
+/// Monotonic counters (see stats()). Every flush counts under exactly one
+/// of size_flushes, deadline_flushes and drain_flushes, by the queue depth
+/// the flusher found when it assembled the batch.
 struct ServerStats {
   int64_t submitted = 0;        // admitted into the queue
   int64_t completed = 0;        // fulfilled with a ranked list
   int64_t failed = 0;           // fulfilled with an error status
   int64_t flushes = 0;
+  /// Flushes that found at least max_batch requests pending (a full batch).
   int64_t size_flushes = 0;
+  /// Flushes that found fewer than max_batch pending and took them all — a
+  /// partial batch. The name is kept from the retired fixed flush deadline;
+  /// nothing waits on a deadline any more.
   int64_t deadline_flushes = 0;
+  /// Flushes assembled after Stop() (draining the queue).
   int64_t drain_flushes = 0;
   int64_t reloads = 0;
   int64_t max_batch_observed = 0;
@@ -94,12 +95,14 @@ struct ServerStats {
 /// topk::Engine (DESIGN.md §12), with overload protection (§13).
 ///
 /// Many producer threads submit independent single-user top-K requests;
-/// one flusher thread coalesces whatever is pending into a single engine
-/// batch — released by a size OR deadline trigger, whichever fires first —
-/// and completes each request through its future. N concurrent batch-of-one
-/// GEMMs become one blocked GEMM per flush, which is where the engine's
-/// batch throughput (BENCH_topk.json) turns into serving throughput
-/// (BENCH_serve.json).
+/// one flusher thread coalesces them into engine batches and completes each
+/// request through its future. Batching is opportunistic: an idle flusher
+/// flushes the moment a request arrives, and whatever piles up while a
+/// flush runs (up to max_batch) becomes the next batch. A request never
+/// waits for company, so light load is served at batch-of-one latency,
+/// while under load N concurrent batch-of-one GEMMs become one blocked GEMM
+/// per flush — which is where the engine's batch throughput
+/// (BENCH_topk.json) turns into serving throughput (BENCH_serve.json).
 ///
 /// A flush scores every request in the batch with the engine's largest
 /// requested k and hands each request the prefix it asked for. Selection
@@ -182,12 +185,12 @@ class Server {
   const ServerOptions& options() const { return options_; }
 
  private:
-  enum class FlushReason { kSize, kDeadline, kDrain };
+  /// How full the queue was when a flush was assembled (ServerStats).
+  enum class FlushReason { kSize, kPartial, kDrain };
 
   struct Pending {
     int64_t user = 0;
     int64_t k = 0;
-    std::chrono::steady_clock::time_point enqueued;
     /// Valid only when has_deadline; expiry completes the request with
     /// DeadlineExceeded at batch assembly or inside a stalled flush.
     std::chrono::steady_clock::time_point deadline;
@@ -219,7 +222,7 @@ class Server {
   /// Waited on ONLY by the flusher thread (producers signal, never wait),
   /// so one notify_one per submit is sufficient to preserve liveness —
   /// there is no second waiter a notify could be "stolen" from.
-  std::condition_variable cv_;   // queue arrivals / size trigger / stop
+  std::condition_variable cv_;   // queue arrivals / stop
   std::deque<Pending> queue_;
   bool stopping_ = false;
   ServerStats stats_;

@@ -29,40 +29,65 @@ int64_t SelectGrain(int64_t num_items) {
   return std::max<int64_t>(1, kTargetWorkPerChunk / std::max<int64_t>(1, num_items));
 }
 
-/// Top-`k` of one score row via a bounded heap: `out` is kept as a binary
-/// heap whose root is the currently-worst kept item (RanksBefore as the
-/// heap's less-than makes the max element the one ranking last), so each of
-/// the num_items candidates costs O(1) unless it displaces the root. The
-/// result is sorted best-first. `seen` is a sorted id list consumed by a
-/// merge walk — no per-item binary search.
+}  // namespace
+
 void SelectTopK(const float* scores, int64_t num_items, int64_t k,
                 ItemSpan seen, MaskMode mask_mode,
                 std::vector<ScoredItem>& out) {
   constexpr RanksBefore ranks_before{};
+  DARE_CHECK_GT(k, 0);
   out.clear();
   size_t seen_pos = 0;
   const size_t seen_size = seen.count;
-  for (int64_t item = 0; item < num_items; ++item) {
+  int64_t item = 0;
+  // Fill: the plain merge walk until the heap holds k items (masked items
+  // enter as -inf under kScoreNegInf; they can pad a short list).
+  for (; item < num_items && static_cast<int64_t>(out.size()) < k; ++item) {
     float score = scores[item];
     if (seen_pos < seen_size && seen[seen_pos] == item) {
       ++seen_pos;
       if (mask_mode == MaskMode::kDrop) continue;
       score = kNegInf;
     }
-    const ScoredItem candidate{item, score};
-    if (static_cast<int64_t>(out.size()) < k) {
-      out.push_back(candidate);
-      std::push_heap(out.begin(), out.end(), ranks_before);
-    } else if (ranks_before(candidate, out.front())) {
-      std::pop_heap(out.begin(), out.end(), ranks_before);
-      out.back() = candidate;
-      std::push_heap(out.begin(), out.end(), ranks_before);
+    out.push_back({item, score});
+    std::push_heap(out.begin(), out.end(), ranks_before);
+  }
+  if (item == num_items) {
+    std::sort(out.begin(), out.end(), ranks_before);
+    return;
+  }
+  // Threshold scan. Every later candidate has a larger id than anything in
+  // the heap, so RanksBefore(candidate, root) reduces to `score > root
+  // score` (false for NaN on either side, false on a tie): items that fail
+  // that test are skipped without touching the heap, and the heap sees the
+  // exact push/pop sequence of the plain walk.
+  float threshold = out.front().score;
+  while (item < num_items) {
+    // The merge walk's next match. A seen id behind the cursor (duplicate
+    // or unsorted) stalls the walk for good, and one at or past num_items
+    // is never reached: both end masking.
+    int64_t stop = num_items;
+    if (seen_pos < seen_size && seen[seen_pos] >= item &&
+        seen[seen_pos] < num_items) {
+      stop = seen[seen_pos];
+    }
+    for (; item < stop; ++item) {
+      if (scores[item] > threshold) {
+        std::pop_heap(out.begin(), out.end(), ranks_before);
+        out.back() = ScoredItem{item, scores[item]};
+        std::push_heap(out.begin(), out.end(), ranks_before);
+        threshold = out.front().score;
+      }
+    }
+    if (stop < num_items) {
+      // The masked item: dropped, or offered at -inf, which never beats a
+      // full heap's root.
+      ++seen_pos;
+      ++item;
     }
   }
   std::sort(out.begin(), out.end(), ranks_before);
 }
-
-}  // namespace
 
 Engine::Engine(const tensor::Matrix& node_embeddings, int64_t num_users,
                int64_t num_items, const EngineOptions& options)

@@ -96,6 +96,18 @@ inline int64_t ClampK(int64_t k, int64_t cap) {
   return cap > 0 ? std::min(k, cap) : k;
 }
 
+/// The engine's per-row select: top-`k` (k > 0) of one row of `num_items`
+/// scores into `out` (cleared, then filled best-first by score desc, id
+/// asc). `seen` is consumed by a merge walk in ascending item order — a
+/// seen id behind the walk's cursor (duplicate, unsorted) or outside
+/// [0, num_items) ends masking there. A bounded heap holds the best k so
+/// far; once it is full, a candidate is compared only against the heap
+/// root's score (the threshold), so most items cost one float compare.
+/// Bitwise equal to offering every item to the heap in id order.
+void SelectTopK(const float* scores, int64_t num_items, int64_t k,
+                ItemSpan seen, MaskMode mask_mode,
+                std::vector<ScoredItem>& out);
+
 /// Batched top-K scoring engine — the one scoring core shared by the
 /// all-ranking evaluation (`eval::EvaluateRanking`), the serving facade
 /// (`serve::Recommender`), and the online tier (`serve::Server`). A block

@@ -217,16 +217,16 @@ TEST_F(ParallelExecutorTest, ResumeAcrossWorkerCountsMatchesStraightRun) {
 }
 
 /// Backbones that cache per-step state inside Forward (NCL's layer outputs)
-/// cannot run concurrent slots; the executor refuses instead of racing.
+/// cannot run concurrent slots; Experiment::Create refuses instead of racing.
 TEST_F(ParallelExecutorTest, StatefulBackboneRejectsConcurrentWorkers) {
   ExperimentSpec spec = TinySpec("ncl", "baseline");
   spec.train_options.workers = 2;
-  EXPECT_DEATH(
-      {
-        auto experiment = Experiment::Create(spec);
-        if (experiment.ok()) (*experiment)->Run();
-      },
-      "cannot run");
+  auto rejected = Experiment::Create(spec);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), core::StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find("cannot run data-parallel"),
+            std::string::npos)
+      << rejected.status().ToString();
   // The same backbone still accepts grad accumulation on one worker.
   spec.train_options.workers = 1;
   spec.train_options.grad_accum = 2;

@@ -180,10 +180,8 @@ TEST(OverloadOptionsTest, OutOfRangeScalarsAreClamped) {
   Fixture f;
   ServerOptions options;
   options.max_batch = -3;
-  options.flush_deadline_us = -100;
   Server server(f.Snapshot(), options);
   EXPECT_EQ(server.options().max_batch, 1);
-  EXPECT_EQ(server.options().flush_deadline_us, 0);
 }
 
 TEST(OverloadOptionsDeathTest, QueueSmallerThanBatchIsRejected) {
@@ -213,23 +211,22 @@ TEST(OverloadTest, AdmissionShedsAtMaxQueueAndPendingObservesBacklog) {
   FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 8;
-  options.flush_deadline_us = 60'000'000;  // only the size trigger flushes
   options.max_queue = 8;
   options.overload.enabled = false;  // isolate the hard bound
   Server server(f.Snapshot(), options);
 
-  // The first (size-triggered) flush stalls 300ms holding its batch of 8;
-  // the refill below lands in microseconds while the queue is empty, so it
-  // deterministically fills to max_queue without tripping another flush.
+  // The first flush (a lone request) stalls 300ms; the refill below lands
+  // in microseconds while the queue is empty, so it deterministically fills
+  // to max_queue without another flush taking any of it.
   core::FailPoint::Arm("serve.slow_flush", /*arg=*/300'000, /*fires=*/1);
   std::vector<std::future<core::StatusOr<TopKResult>>> futures;
-  for (int64_t i = 0; i < 8; ++i) futures.push_back(server.SubmitTopK(i, 5));
+  futures.push_back(server.SubmitTopK(0, 5));
   // Wait (bounded, well inside the 300ms stall) for the flusher to claim
-  // the first batch, then refill the now-empty queue to the brim.
+  // the first request, then fill the now-empty queue to the brim.
   for (int spins = 0; server.pending() > 0 && spins < 2000; ++spins) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  ASSERT_EQ(server.pending(), 0) << "flusher never claimed the first batch";
+  ASSERT_EQ(server.pending(), 0) << "flusher never claimed the first request";
   for (int64_t i = 0; i < 8; ++i) futures.push_back(server.SubmitTopK(i, 5));
   EXPECT_EQ(server.pending(), 8);
   auto shed = server.SubmitTopK(0, 5).get();
@@ -237,7 +234,7 @@ TEST(OverloadTest, AdmissionShedsAtMaxQueueAndPendingObservesBacklog) {
   EXPECT_EQ(shed.status().code(), core::StatusCode::kResourceExhausted);
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.shed_admission, 1);
-  EXPECT_EQ(stats.submitted, 16);  // the shed request never counts
+  EXPECT_EQ(stats.submitted, 9);  // the shed request never counts
   EXPECT_EQ(stats.peak_pending, 8);
   server.Stop();  // drain completes every held future
   for (auto& fut : futures) ASSERT_TRUE(fut.get().ok());
@@ -264,7 +261,6 @@ TEST(OverloadTest, RequestExpiresAtAssemblyWhileAnEarlierFlushStalls) {
   FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 1;
-  options.flush_deadline_us = 0;
   options.overload.enabled = false;
   Server server(f.Snapshot(), options);
   // The first flush stalls 300ms; r2's 1ms deadline expires ~300x over
@@ -287,7 +283,6 @@ TEST(OverloadTest, RequestExpiresInsideAStalledFlush) {
   FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 1;
-  options.flush_deadline_us = 0;
   options.overload.enabled = false;
   Server server(f.Snapshot(), options);
   // The request's own flush stalls 400ms against a 20ms budget: the
@@ -307,7 +302,6 @@ TEST(OverloadTest, FlushFailFailPointFailsLiveRequestsWithInternal) {
   FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 1;
-  options.flush_deadline_us = 0;
   Server server(f.Snapshot(), options);
   core::FailPoint::Arm("serve.flush_fail", /*arg=*/0, /*fires=*/1);
   auto failed = server.SubmitTopK(0, 5).get();
@@ -332,7 +326,6 @@ TEST(OverloadTest, DegradedFlushClampsKAndSwitchesToInt8) {
   auto snapshot = f.Snapshot(/*build_int8=*/true);
   ServerOptions options;
   options.max_batch = 4;
-  options.flush_deadline_us = 0;
   options.max_queue = 64;
   options.overload.degrade_enter = 2;
   options.overload.degrade_exit = 0;  // recover only on an empty queue
@@ -387,7 +380,6 @@ TEST(OverloadTest, DegradedFlushWithoutInt8BlocksStaysFp32) {
   auto snapshot = f.Snapshot(/*build_int8=*/false);
   ServerOptions options;
   options.max_batch = 4;
-  options.flush_deadline_us = 0;
   options.max_queue = 64;
   options.overload.degrade_enter = 2;
   options.overload.degrade_exit = 0;
@@ -425,7 +417,6 @@ TEST(OverloadTest, FullLadderWalkShedsAndRecovers) {
   auto snapshot = f.Snapshot(/*build_int8=*/true);
   ServerOptions options;
   options.max_batch = 4;
-  options.flush_deadline_us = 0;
   options.max_queue = 64;
   options.overload.degrade_enter = 8;
   options.overload.degrade_exit = 0;
@@ -494,7 +485,6 @@ TEST(OverloadTest, SubmitWithRetryRidesOutAdmissionShed) {
   FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 4;
-  options.flush_deadline_us = 0;
   options.max_queue = 8;
   options.overload.enabled = false;  // pure bounded-admission shedding
   Server server(f.Snapshot(), options);

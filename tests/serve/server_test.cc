@@ -1,15 +1,18 @@
-// Online serving tier: microbatched queue semantics (size/deadline flush,
-// unified k contract, drain on stop), bitwise parity with the serial
-// engine per snapshot, non-blocking snapshot swaps with zero dropped in-flight
-// requests, and a multi-producer hammer (run under TSan by check.sh).
+// Online serving tier: opportunistic microbatch semantics (a lone request
+// flushes alone, a backlog leaves in full batches, unified k contract, drain
+// on stop), bitwise parity with the serial engine per snapshot, non-blocking
+// snapshot swaps with zero dropped in-flight requests, and a multi-producer
+// hammer (run under TSan by check.sh).
 #include "serve/server.h"
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "core/failpoint.h"
 #include "core/rng.h"
 #include "gtest/gtest.h"
 #include "serve/recommender.h"
@@ -73,47 +76,85 @@ void ExpectBitwiseEqual(const std::vector<ScoredItem>& got,
   }
 }
 
-TEST(ServerTest, DeadlineFlushAnswersPartialBatchBitwiseEqualToSerial) {
-  Fixture f;
-  ServerOptions options;
-  options.max_batch = 1000;          // size trigger unreachable
-  options.flush_deadline_us = 2000;  // deadline does the flushing
-  Server server(f.Snapshot(), options);
-  auto fut = server.SubmitTopK(3, 10);
-  auto result = fut.get();
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectBitwiseEqual(result->items, f.Reference(3, 10), "deadline flush");
-  EXPECT_GE(server.stats().deadline_flushes, 1);
+/// Disarms fail points armed by a test even when it exits early.
+struct FailPointGuard {
+  ~FailPointGuard() { core::FailPoint::DisarmAll(); }
+};
+
+/// Submits a holder request whose flush stalls `stall_us` in the
+/// serve.slow_flush fail point, and returns once the flusher has claimed it:
+/// everything submitted during the stall piles up in the queue. The stall is
+/// a margin around microsecond-scale submits, never an assertion.
+std::future<core::StatusOr<TopKResult>> HoldFlusher(Server& server,
+                                                    int64_t stall_us) {
+  core::FailPoint::Arm("serve.slow_flush", stall_us, /*fires=*/1);
+  auto holder = server.SubmitTopK(0, 5);
+  for (int spins = 0; server.pending() > 0 && spins < 20000; ++spins) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(server.pending(), 0) << "flusher never claimed the holder";
+  return holder;
 }
 
-TEST(ServerTest, SizeFlushFiresBeforeDeadline) {
+TEST(ServerTest, LoneRequestOnIdleServerLeavesAsBatchOfOne) {
   Fixture f;
   ServerOptions options;
-  options.max_batch = 4;
-  options.flush_deadline_us = 60'000'000;  // a minute: only size can fire
+  options.max_batch = 64;
   Server server(f.Snapshot(), options);
+  auto result = server.SubmitTopK(3, 10).get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectBitwiseEqual(result->items, f.Reference(3, 10), "lone request");
+  // Nothing waited for company: one flush, of one, short of max_batch.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.flushes, 1);
+  EXPECT_EQ(stats.max_batch_observed, 1);
+  EXPECT_EQ(stats.deadline_flushes, 1);
+  EXPECT_EQ(stats.size_flushes, 0);
+}
+
+/// Whatever piles up during a flush leaves as ceil(N / max_batch) batches:
+/// full ones while the backlog lasts, then one partial batch.
+TEST(ServerTest, BacklogFromAStalledFlushLeavesInCeilNOverMaxBatchFlushes) {
+  Fixture f;
+  FailPointGuard guard;
+  ServerOptions options;
+  options.max_batch = 4;
+  Server server(f.Snapshot(), options);
+  auto holder = HoldFlusher(server, /*stall_us=*/300'000);
+  constexpr int64_t kBacklog = 10;
   std::vector<std::future<core::StatusOr<TopKResult>>> futures;
-  for (int64_t u = 0; u < 4; ++u) futures.push_back(server.SubmitTopK(u, 5));
-  for (int64_t u = 0; u < 4; ++u) {
+  for (int64_t u = 0; u < kBacklog; ++u) {
+    futures.push_back(server.SubmitTopK(u, 6));
+  }
+  EXPECT_EQ(server.pending(), kBacklog);
+  ASSERT_TRUE(holder.get().ok());
+  for (int64_t u = 0; u < kBacklog; ++u) {
     auto result = futures[static_cast<size_t>(u)].get();
     ASSERT_TRUE(result.ok());
-    ExpectBitwiseEqual(result->items, f.Reference(u, 5),
-                       "size flush user " + std::to_string(u));
+    ExpectBitwiseEqual(result->items, f.Reference(u, 6),
+                       "backlog user " + std::to_string(u));
   }
   const ServerStats stats = server.stats();
-  EXPECT_GE(stats.size_flushes, 1);
-  EXPECT_EQ(stats.completed, 4);
+  const int64_t backlog_flushes =
+      (kBacklog + options.max_batch - 1) / options.max_batch;
+  EXPECT_EQ(stats.flushes, 1 + backlog_flushes);  // the holder's, then 4+4+2
+  EXPECT_EQ(stats.size_flushes, 2);
+  EXPECT_EQ(stats.deadline_flushes, 2);  // the lone holder and the tail of 2
+  EXPECT_EQ(stats.max_batch_observed, 4);
+  EXPECT_EQ(stats.completed, 1 + kBacklog);
 }
 
 TEST(ServerTest, MixedKInOneBatchEachGetsItsOwnPrefix) {
   Fixture f;
+  FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 3;
-  options.flush_deadline_us = 60'000'000;
   Server server(f.Snapshot(), options);
+  auto holder = HoldFlusher(server, /*stall_us=*/300'000);
   auto f1 = server.SubmitTopK(1, 3);
   auto f2 = server.SubmitTopK(2, 17);
   auto f3 = server.SubmitTopK(1, 8);  // duplicate user, different k
+  ASSERT_TRUE(holder.get().ok());
   auto r1 = f1.get();
   auto r2 = f2.get();
   auto r3 = f3.get();
@@ -121,6 +162,11 @@ TEST(ServerTest, MixedKInOneBatchEachGetsItsOwnPrefix) {
   ExpectBitwiseEqual(r1->items, f.Reference(1, 3), "k=3");
   ExpectBitwiseEqual(r2->items, f.Reference(2, 17), "k=17");
   ExpectBitwiseEqual(r3->items, f.Reference(1, 8), "k=8");
+  // The three rode one full batch.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.flushes, 2);
+  EXPECT_EQ(stats.size_flushes, 1);
+  EXPECT_EQ(stats.max_batch_observed, 3);
 }
 
 TEST(ServerTest, UnifiedKContract) {
@@ -143,20 +189,23 @@ TEST(ServerTest, UnifiedKContract) {
 
 TEST(ServerTest, StopDrainsEveryPendingRequest) {
   Fixture f;
+  FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 1000;
-  options.flush_deadline_us = 60'000'000;  // nothing flushes on its own
   auto server = std::make_unique<Server>(f.Snapshot(), options);
+  // The stalled holder flush keeps all 25 pending until Stop() lands.
+  auto holder = HoldFlusher(*server, /*stall_us=*/300'000);
   std::vector<std::future<core::StatusOr<TopKResult>>> futures;
   for (int64_t u = 0; u < 25; ++u) futures.push_back(server->SubmitTopK(u, 7));
   server->Stop();
+  ASSERT_TRUE(holder.get().ok());
   for (int64_t u = 0; u < 25; ++u) {
     auto result = futures[static_cast<size_t>(u)].get();
     ASSERT_TRUE(result.ok()) << "request " << u << " dropped on Stop";
     ExpectBitwiseEqual(result->items, f.Reference(u, 7),
                        "drained user " + std::to_string(u));
   }
-  EXPECT_GE(server->stats().drain_flushes, 1);
+  EXPECT_EQ(server->stats().drain_flushes, 1);
   // Post-stop submits fail fast.
   auto late = server->SubmitTopK(0, 5).get();
   ASSERT_FALSE(late.ok());
@@ -167,7 +216,6 @@ TEST(ServerTest, SnapshotSwapKeepsResultsBitwiseIdenticalForSameContent) {
   Fixture f;
   ServerOptions options;
   options.max_batch = 8;
-  options.flush_deadline_us = 500;
   Server server(f.Snapshot(false, /*version=*/1), options);
   // Swap in a freshly-built snapshot of the SAME embeddings mid-stream:
   // results must stay bitwise identical whichever snapshot answered.
@@ -193,7 +241,6 @@ TEST(ServerTest, Int8ServerCompletesAndRequiresInt8Snapshot) {
   ServerOptions options;
   options.precision = Precision::kInt8;
   options.max_batch = 16;
-  options.flush_deadline_us = 500;
   Server server(f.Snapshot(/*build_int8=*/true), options);
   auto ok = server.SubmitTopK(7, 10).get();
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
@@ -213,10 +260,13 @@ TEST(ServerTest, Int8ServerCompletesAndRequiresInt8Snapshot) {
 /// match the serial engine bitwise. Run under TSan by scripts/check.sh.
 TEST(ServerTest, MultiProducerHammerWithMidFlightReloads) {
   Fixture f;
+  FailPointGuard guard;
   ServerOptions options;
   options.max_batch = 32;
-  options.flush_deadline_us = 200;
   Server server(f.Snapshot(false, 1), options);
+  // The first flush stalls, so the producers' opening requests pile up and
+  // coalesce however fast the flusher keeps up afterwards.
+  core::FailPoint::Arm("serve.slow_flush", /*arg=*/50'000, /*fires=*/1);
 
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 250;
@@ -279,7 +329,6 @@ TEST(ServerTest, StopVsSubmitHammerWithDeadlines) {
   Fixture f;
   ServerOptions options;
   options.max_batch = 16;
-  options.flush_deadline_us = 200;
   options.max_queue = 32;
   options.overload.k_degraded = 3;
   Server server(f.Snapshot(/*build_int8=*/true, 1), options);
@@ -314,8 +363,16 @@ TEST(ServerTest, StopVsSubmitHammerWithDeadlines) {
       }
     });
   }
-  // Stop mid-stream: producers past the cutoff observe FailedPrecondition.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Stop mid-stream — once a quarter of the requests have an outcome, by
+  // count rather than by the clock: producers past the cutoff observe
+  // FailedPrecondition.
+  const auto outcomes = [&] {
+    return ok.load() + deadline.load() + shed.load() + stopped.load() +
+           other.load();
+  };
+  while (outcomes() < kProducers * kPerProducer / 4) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
   server.Stop();
   for (auto& p : producers) p.join();
 

@@ -1,7 +1,9 @@
 #include "topk/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -210,6 +212,164 @@ TEST(TopKEngineTest, EmptyQueryAndDuplicateUsers) {
   ASSERT_EQ(lists.size(), 3u);
   ExpectListsEqual(lists[0], lists[1]);
   ExpectListsEqual(lists[0], lists[2]);
+}
+
+// ---------------------------------------------------------------------------
+// SelectTopK vs the plain merge walk: the threshold-filtered select must be
+// bitwise equal to offering every item to the bounded heap in id order,
+// including on inputs no real score row or seen list should hold.
+// ---------------------------------------------------------------------------
+
+/// The plain merge walk: every item is offered to the heap in id order.
+std::vector<ScoredItem> MergeWalkSelect(const std::vector<float>& scores,
+                                        int64_t k,
+                                        const std::vector<int64_t>& seen,
+                                        MaskMode mask_mode) {
+  const auto ranks_before = [](const ScoredItem& a, const ScoredItem& b) {
+    return a.score != b.score ? a.score > b.score : a.item < b.item;
+  };
+  std::vector<ScoredItem> out;
+  size_t seen_pos = 0;
+  for (int64_t item = 0; item < static_cast<int64_t>(scores.size()); ++item) {
+    float score = scores[static_cast<size_t>(item)];
+    if (seen_pos < seen.size() && seen[seen_pos] == item) {
+      ++seen_pos;
+      if (mask_mode == MaskMode::kDrop) continue;
+      score = -std::numeric_limits<float>::infinity();
+    }
+    const ScoredItem candidate{item, score};
+    if (static_cast<int64_t>(out.size()) < k) {
+      out.push_back(candidate);
+      std::push_heap(out.begin(), out.end(), ranks_before);
+    } else if (ranks_before(candidate, out.front())) {
+      std::pop_heap(out.begin(), out.end(), ranks_before);
+      out.back() = candidate;
+      std::push_heap(out.begin(), out.end(), ranks_before);
+    }
+  }
+  std::sort(out.begin(), out.end(), ranks_before);
+  return out;
+}
+
+/// Item ids and score bit patterns equal (NaN == NaN, -0 != +0).
+::testing::AssertionResult SameBits(const std::vector<ScoredItem>& got,
+                                    const std::vector<ScoredItem>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (got[i].item != want[i].item ||
+        std::bit_cast<uint32_t>(got[i].score) !=
+            std::bit_cast<uint32_t>(want[i].score)) {
+      return ::testing::AssertionFailure()
+             << "rank " << i << ": (" << got[i].item << ", " << got[i].score
+             << ") vs (" << want[i].item << ", " << want[i].score << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult SelectMatchesMergeWalk(
+    const std::vector<float>& scores, int64_t k,
+    const std::vector<int64_t>& seen, MaskMode mask_mode) {
+  std::vector<ScoredItem> got;
+  SelectTopK(scores.data(), static_cast<int64_t>(scores.size()), k,
+             ItemSpan(seen), mask_mode, got);
+  return SameBits(got, MergeWalkSelect(scores, k, seen, mask_mode));
+}
+
+TEST(SelectTopKTest, ParityOnHandPickedEdgeCases) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  struct Case {
+    const char* what;
+    std::vector<float> scores;
+    std::vector<int64_t> seen;
+  };
+  const std::vector<Case> cases = {
+      {"ties at the threshold", {1, 2, 2, 2, 1, 2, 3, 2, 2, 3, 1, 2}, {}},
+      {"all tied", std::vector<float>(16, 0.5f), {3, 7}},
+      {"signed zeros", {0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f}, {1}},
+      {"NaN at the root", {kNaN, 1, 2, 3, 4, 5, 6, kNaN, 7}, {}},
+      {"NaN mid-row", {1, 2, kNaN, 3, kNaN, 4, 0, kNaN, 5}, {2, 5}},
+      {"all NaN", std::vector<float>(9, kNaN), {0, 4}},
+      {"-inf scores", {-kInf, 1, -kInf, -kInf, 2, -kInf, 0}, {1, 6}},
+      {"+inf scores", {1, kInf, 0, kInf, 2, kInf, -kInf}, {3}},
+      {"duplicate seen ids", {5, 4, 3, 2, 1, 6, 7, 8, 9}, {1, 1, 3, 6}},
+      {"unsorted seen ids", {5, 4, 3, 2, 1, 6, 7, 8, 9}, {2, 6, 4, 7}},
+      {"negative seen id", {5, 4, 3, 2, 1, 6, 7, 8, 9}, {-1, 2, 3}},
+      {"seen id past the end", {5, 4, 3, 2, 1, 6, 7, 8, 9}, {2, 9, 12}},
+      {"seen id past the end first", {5, 4, 3, 2, 1, 6, 7, 8, 9}, {40, 3}},
+      {"every item seen", {1, 2, 3, 4, 5, 6}, {0, 1, 2, 3, 4, 5}},
+      {"empty row", {}, {0, 1}},
+  };
+  for (const Case& c : cases) {
+    const int64_t n = static_cast<int64_t>(c.scores.size());
+    for (MaskMode mode : {MaskMode::kScoreNegInf, MaskMode::kDrop}) {
+      for (int64_t k : {int64_t{1}, int64_t{2}, int64_t{3}, n, n + 5}) {
+        if (k < 1) continue;
+        EXPECT_TRUE(SelectMatchesMergeWalk(c.scores, k, c.seen, mode))
+            << c.what << ", k=" << k << ", mode=" << static_cast<int>(mode);
+      }
+    }
+  }
+}
+
+TEST(SelectTopKTest, ParityOnRandomAdversarialRows) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  // A few values drawn often so ties, NaN and infinities meet the heap root.
+  const float specials[] = {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, kInf, -kInf, kNaN};
+  core::Rng rng(2024);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int64_t n = rng.UniformInt(80);
+    std::vector<float> scores(static_cast<size_t>(n));
+    const double special_p = rng.UniformDouble();
+    for (float& s : scores) {
+      s = rng.Bernoulli(special_p) ? specials[rng.UniformInt(8)]
+                                   : rng.Uniform(-2.0f, 2.0f);
+    }
+    // Seen list: a sorted subset (sparse to dense), then maybe broken with
+    // a duplicate, a swap, or an out-of-range id.
+    std::vector<int64_t> seen;
+    const double seen_p = rng.UniformDouble();
+    for (int64_t item = 0; item < n; ++item) {
+      if (rng.Bernoulli(seen_p)) seen.push_back(item);
+    }
+    switch (rng.UniformInt(5)) {
+      case 0:
+        if (!seen.empty()) {
+          const auto at = static_cast<size_t>(
+              rng.UniformInt(static_cast<int64_t>(seen.size())));
+          seen.insert(seen.begin() + static_cast<std::ptrdiff_t>(at), seen[at]);
+        }
+        break;
+      case 1:
+        if (seen.size() >= 2) {
+          const auto at = static_cast<size_t>(
+              rng.UniformInt(static_cast<int64_t>(seen.size()) - 1));
+          std::swap(seen[at], seen[at + 1]);
+        }
+        break;
+      case 2: {
+        const auto at = static_cast<size_t>(
+            rng.UniformInt(static_cast<int64_t>(seen.size()) + 1));
+        const int64_t bad = rng.Bernoulli(0.5) ? -1 - rng.UniformInt(3)
+                                               : n + rng.UniformInt(3);
+        seen.insert(seen.begin() + static_cast<std::ptrdiff_t>(at), bad);
+        break;
+      }
+      default:
+        break;  // well-formed
+    }
+    const int64_t k = 1 + rng.UniformInt(n + 4);
+    for (MaskMode mode : {MaskMode::kScoreNegInf, MaskMode::kDrop}) {
+      ASSERT_TRUE(SelectMatchesMergeWalk(scores, k, seen, mode))
+          << "trial " << trial << ", n=" << n << ", k=" << k
+          << ", mode=" << static_cast<int>(mode);
+    }
+  }
 }
 
 TEST(TopKEngineTest, TopKOneBitwiseEqualsBatchOfOne) {
