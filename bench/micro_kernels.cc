@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/host_info.h"
 #include "bench/seed_kernels.h"
 #include "core/check.h"
 #include "core/rng.h"
@@ -125,8 +126,10 @@ void WriteJson(const std::string& path, const std::vector<KernelReport>& reports
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"micro_kernels\",\n");
   std::fprintf(f, "  \"compiler\": \"%s\",\n", __VERSION__);
-  std::fprintf(f, "  \"hardware_concurrency\": %d,\n",
-               ThreadPool::DefaultThreads());
+  const darec::benchutil::HostInfo host = darec::benchutil::MeasureHost();
+  std::fprintf(f, "  \"nproc\": %lld,\n", static_cast<long long>(host.nproc));
+  std::fprintf(f, "  \"effective_cores\": %.2f,\n", host.effective_cores);
+  std::fprintf(f, "  \"pool_threads\": %d,\n", ThreadPool::DefaultThreads());
   std::fprintf(f,
                "  \"baseline\": \"seed kernels (pre-PR1 src/tensor) compiled "
                "at the seed's -O2\",\n");

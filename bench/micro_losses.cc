@@ -27,7 +27,7 @@
 #include "core/rng.h"
 #include "darec/losses.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 #include "tensor/alloc_stats.h"
 #include "tensor/autograd.h"
 #include "tensor/csr.h"
@@ -102,7 +102,12 @@ void BM_GlobalStructureLossSoftmax(benchmark::State& state) {
   }
   state.SetComplexityN(n);
 }
-BENCHMARK(BM_GlobalStructureLossSoftmax)->Arg(128)->Arg(256)->Arg(512)->Complexity();
+BENCHMARK(BM_GlobalStructureLossSoftmax)
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Complexity();
 
 void BM_LocalStructureLoss(benchmark::State& state) {
   const int64_t k = state.range(0);
@@ -514,17 +519,6 @@ int RunFusionProfile(const std::string& out_path) {
       Backward(loss);
       return loss.scalar();
     }, /*steps=*/20));
-  }
-  {
-    Variable a = Variable::Parameter(RandomMatrix(256, 32, 48));
-    Variable b = Variable::Parameter(RandomMatrix(256, 32, 49));
-    rows.push_back(ProfileFusion("global_structure_softmax_256", [&] {
-      a.ClearGrad();
-      b.ClearGrad();
-      Variable loss = model::GlobalStructureLossSoftmax(a, b, 0.5f);
-      Backward(loss);
-      return loss.scalar();
-    }));
   }
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");

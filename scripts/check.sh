@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite, a checkpoint-aware bench
 # resume smoke (kill a sweep mid-run, rerun with resume=1, final metrics must
-# match an uninterrupted run), then an AddressSanitizer pass over the
-# fault-tolerance surface (checkpointing, fail-point injection,
-# corrupted-file parsing) and the arena/workspace memory model, and a
-# ThreadSanitizer pass over the parallel runtime (thread pool +
-# blocked/threaded kernels), the staged train loop (crash/resume, policies,
-# observers), the data-parallel step executor (8-worker super-steps) and
-# concurrent workspace acquire/release, and the online serving tier
+# match an uninterrupted run), then an AddressSanitizer lane over the full
+# ctest suite, and a ThreadSanitizer pass over the parallel runtime (thread
+# pool + blocked/threaded kernels, the row-parallel softmax-distillation
+# loss), the staged train loop (crash/resume, policies, observers), the
+# data-parallel step executor (8-worker super-steps) and concurrent
+# workspace acquire/release, and the online serving tier
 # (multi-producer microbatch queue with mid-flight snapshot swaps, bounded
 # admission + degradation ladder + request deadlines). A forced
 # DAREC_SIMD=scalar ctest lane and train_bench/serve_bench smokes guard the
@@ -106,21 +105,14 @@ rm -rf "$resume_dir" "$resume_dir.full.txt" "$resume_dir.resumed.txt"
 echo "resume smoke: final tables identical"
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "=== ASan: checkpointing + fail points + corrupted-file parsing ==="
+  echo "=== ASan: full ctest ==="
+  # Every test, so new code (e.g. the per-row distillation kernels, the
+  # bit-flip and truncation sweeps over the mmap'd shard parsers, the
+  # fail-point-injected serving stalls) runs under ASan without a curated
+  # list to keep in sync.
   cmake -B build-asan -S . -DDAREC_SANITIZE=address >/dev/null
-  cmake --build build-asan -j "$(nproc)" \
-    --target failpoint_test checkpoint_test io_corruption_test io_test \
-             trainer_ckpt_test workspace_test graph_context_test \
-             alloc_regression_test backoff_test overload_test \
-             shards_test web_scale_test sharded_checkpoint_test \
-             interactions_test >/dev/null
-  # overload_test under ASan covers the fail-point-injected flush stalls and
-  # failures (expired-promise and degraded-batch memory handling).
-  # shards_test/sharded_checkpoint_test replay the bit-flip and truncation
-  # sweeps over the mmap'd shard + manifest parsers under ASan, where an
-  # out-of-bounds read caused by a corrupted length field would trap.
-  ctest --test-dir build-asan --output-on-failure \
-    -R 'failpoint_test|checkpoint_test|io_corruption_test|io_test|trainer_ckpt_test|workspace_test|graph_context_test|alloc_regression_test|backoff_test|overload_test|shards_test|web_scale_test|sharded_checkpoint_test|interactions_test'
+  cmake --build build-asan -j "$(nproc)" >/dev/null
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then
@@ -131,24 +123,25 @@ if [[ "$run_ubsan" == 1 ]]; then
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
-  echo "=== TSan: thread pool + parallel kernels + top-K engine + crash/resume ==="
+  echo "=== TSan: thread pool + parallel kernels + losses + top-K engine + crash/resume ==="
   cmake -B build-tsan -S . -DDAREC_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
-    --target thread_pool_test parallel_kernels_test topk_engine_test \
-             kmeans_test failpoint_test trainer_ckpt_test \
+    --target thread_pool_test parallel_kernels_test losses_test \
+             topk_engine_test kmeans_test failpoint_test trainer_ckpt_test \
              train_policies_test train_observer_test workspace_test \
              parallel_executor_test cpu_features_test quant_test \
              server_test overload_test sharded_checkpoint_test >/dev/null
-  # parallel_executor_test drives 8-worker super-steps (GradSink diversion,
-  # fixed-order reduction, per-slot aligner state) under TSan. server_test's
-  # hammers run multi-producer submits against the microbatch flusher with
-  # snapshot swaps mid-flight and Stop() racing deadline-carrying submits;
-  # overload_test adds bounded admission, the degradation ladder, and
-  # SubmitWithRetry under the same flusher. sharded_checkpoint_test runs the
+  # losses_test runs the row-parallel softmax-distillation node at 1 and 8
+  # threads. parallel_executor_test drives 8-worker super-steps (GradSink
+  # diversion, fixed-order reduction, per-slot aligner state) under TSan.
+  # server_test's hammers run multi-producer submits against the microbatch
+  # flusher with snapshot swaps mid-flight and Stop() racing deadline-carrying
+  # submits; overload_test adds bounded admission, the degradation ladder,
+  # and SubmitWithRetry under the same flusher. sharded_checkpoint_test runs the
   # parallel per-section checkpoint I/O (writes and reads on the global
   # pool) under TSan, including the 1-vs-8-thread byte-parity sweep.
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'thread_pool_test|parallel_kernels_test|topk_engine_test|kmeans_test|failpoint_test|trainer_ckpt_test|train_policies_test|train_observer_test|workspace_test|parallel_executor_test|cpu_features_test|quant_test|server_test|overload_test|sharded_checkpoint_test'
+    -R 'thread_pool_test|parallel_kernels_test|losses_test|topk_engine_test|kmeans_test|failpoint_test|trainer_ckpt_test|train_policies_test|train_observer_test|workspace_test|parallel_executor_test|cpu_features_test|quant_test|server_test|overload_test|sharded_checkpoint_test'
 fi
 
 echo "=== all checks passed ==="

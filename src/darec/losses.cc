@@ -17,8 +17,9 @@ using tensor::Variable;
 // and evaluated in one shot: with DAREC_FUSION=on each chain collapses into
 // one or two fused traversals; with fusion off the recording replays the
 // original eager op sequence. Both paths are bitwise identical (see
-// DESIGN.md §14). MatMul / softmax / clustering stages stay eager — they are
-// not elementwise chains.
+// DESIGN.md §14). MatMul / clustering stages stay eager — they are not
+// elementwise chains — and the sharpened global loss is one dedicated node
+// (tensor::SoftmaxStructureDistillation).
 
 Variable OrthogonalityLoss(const Variable& specific, const Variable& shared) {
   // Mean(Square(CosineRowSimilarity(specific, shared))).
@@ -58,36 +59,13 @@ Variable GlobalStructureLossSoftmax(const Variable& shared_cf,
                                     const Variable& shared_llm, float temperature) {
   DARE_CHECK_EQ(shared_cf.rows(), shared_llm.rows());
   DARE_CHECK_GT(temperature, 0.0f);
-  const int64_t n = shared_cf.rows();
-  const float inv_tau = 1.0f / temperature;
-
-  Variable ncf = tensor::RowL2Normalize(shared_cf);
-  Variable nllm = tensor::RowL2Normalize(shared_llm);
-  // Mask self-similarity so each row's target is a distribution over
-  // *other* instances, not the trivial self-match. Built in a pooled buffer
-  // (1.0 * 1e4f == 1e4f exactly, so writing 1e4f directly matches the old
-  // Scale(Identity(n), 1e4f) bitwise).
-  tensor::Matrix mask = tensor::Workspace::Global().Acquire(n, n);
-  for (int64_t i = 0; i < n; ++i) mask(i, i) = 1e4f;
-  Variable diag_mask = Variable::Constant(std::move(mask));
-  Variable logits_cf = tensor::Sub(
-      tensor::ScalarMul(tensor::MatMul(ncf, ncf, false, true), inv_tau), diag_mask);
-  Variable logits_llm = tensor::Detach(tensor::Sub(
-      tensor::ScalarMul(tensor::MatMul(nllm, nllm, false, true), inv_tau),
-      diag_mask));
-
-  Variable targets = tensor::SoftmaxRows(logits_llm);
-  // Row-wise cross-entropy: mean_i Σ_j t_ij (logsumexp_i - s_ij).
-  tensor::Matrix ones = tensor::Workspace::Global().Acquire(1, n);
-  ones.Fill(1.0f);
-  Variable lse_broadcast = tensor::MatMul(tensor::RowLogSumExp(logits_cf),
-                                          Variable::Constant(std::move(ones)));
-  // Sum(targets ∘ (lse − s)) fuses into one traversal of the three n×n
-  // operands; `targets` is detached, so its gradient leg is skipped.
-  return ex::Eval(ex::ScalarMul(
-      ex::Sum(ex::Mul(ex::In(targets),
-                      ex::Sub(ex::In(lse_broadcast), ex::In(logits_cf)))),
-      1.0f / static_cast<float>(n)));
+  // The LLM side is the detached teacher, so only its normalized values
+  // enter; the CF rows keep their RowL2Normalize node for the gradient.
+  tensor::ScratchMatrix teacher(tensor::Workspace::Global(),
+                                shared_llm.value().size());
+  tensor::RowNormalizeInto(shared_llm.value(), teacher.get());
+  return tensor::SoftmaxStructureDistillation(tensor::RowL2Normalize(shared_cf),
+                                              *teacher, temperature);
 }
 
 namespace {

@@ -14,7 +14,7 @@
 #include "data/dataset.h"
 #include "graph/bipartite.h"
 #include "llm/encoder.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 
 namespace darec::pipeline {
 

@@ -270,17 +270,6 @@ Variable TryFuse(Recorder& r, int32_t i, bool fuse) {
         }
         return Variable();
       }
-      if (!mean && c.kind == OpKind::kMul && SoleUse(r, n.a)) {
-        // Only Mul(t, Sub(a, b)) — the operand order fixes the gradient
-        // accumulation order the fused backward replays.
-        const ExNode& q = NodeAt(r, c.b);
-        if (q.kind == OpKind::kSub && SoleUse(r, c.b)) {
-          Variable t = EvalNode(r, c.a, fuse);
-          Variable a = EvalNode(r, q.a, fuse);
-          Variable b = EvalNode(r, q.b, fuse);
-          return FusedMulSubSum(t, a, b);
-        }
-      }
       return Variable();
     }
     case OpKind::kRowSum: {

@@ -447,31 +447,6 @@ void FusedExpAffineSumGradInto(const Matrix& y, float s1, float s2, float g,
   });
 }
 
-float FusedMulSubSum(const Matrix& t, const Matrix& a, const Matrix& b) {
-  DARE_CHECK(t.SameShape(a)) << "FusedMulSubSum shape mismatch";
-  DARE_CHECK(a.SameShape(b)) << "FusedMulSubSum shape mismatch";
-  return static_cast<float>(
-      simd::Kernels().fused_mul_sub_sum(t.data(), a.data(), b.data(),
-                                        a.size()));
-}
-
-void FusedMulSubSumGradInto(const Matrix& t, const Matrix& a, const Matrix& b,
-                            float g, Matrix* dt, Matrix* da, Matrix* db) {
-  DARE_CHECK(t.SameShape(a)) << "FusedMulSubSumGradInto shape mismatch";
-  DARE_CHECK(a.SameShape(b)) << "FusedMulSubSumGradInto shape mismatch";
-  if (dt != nullptr) dt->ResetShape(a.rows(), a.cols());
-  if (da != nullptr) da->ResetShape(a.rows(), a.cols());
-  if (db != nullptr) db->ResetShape(a.rows(), a.cols());
-  if (dt == nullptr && da == nullptr && db == nullptr) return;
-  const simd::KernelTable& kt = simd::Kernels();
-  core::ParallelFor(0, a.size(), kElemwiseGrain, [&](int64_t lo, int64_t hi) {
-    kt.fused_mul_sub_grad(dt ? dt->data() + lo : nullptr,
-                          da ? da->data() + lo : nullptr,
-                          db ? db->data() + lo : nullptr, t.data() + lo,
-                          a.data() + lo, b.data() + lo, g, hi - lo);
-  });
-}
-
 void FusedCosineRowsInto(const Matrix& a, const Matrix& b, float eps,
                          Matrix* out, Matrix* norms) {
   DARE_CHECK(a.SameShape(b)) << "FusedCosineRowsInto shape mismatch";

@@ -260,11 +260,6 @@ float FusedExpAffineSum(const Matrix& a, float s1, float b1, float s2,
 /// Backward over the forward's stashed y: dx = ((g * y) * s2) * s1.
 void FusedExpAffineSumGradInto(const Matrix& y, float s1, float s2, float g,
                                Matrix* dx);
-/// ≡ SumAll(Hadamard(T, Sub(a, b))).
-float FusedMulSubSum(const Matrix& t, const Matrix& a, const Matrix& b);
-/// Backward: dt = g*(a-b), da = g*t, db = -g*t.
-void FusedMulSubSumGradInto(const Matrix& t, const Matrix& a, const Matrix& b,
-                            float g, Matrix* dt, Matrix* da, Matrix* db);
 /// out (rows x 1) ≡ row-sums of Hadamard(RowNormalize(a, eps),
 /// RowNormalize(b, eps)) — per-row cosine similarity in one pass. Stashes
 /// the per-row norm pair (na, nb) into `norms` (rows x 2) for the backward.

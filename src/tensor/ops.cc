@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
 
+#include "core/thread_pool.h"
 #include "tensor/expr.h"
+#include "tensor/simd/kernels.h"
 #include "tensor/workspace.h"
 
 namespace darec::tensor {
@@ -637,6 +641,202 @@ Variable L2Penalty(const std::vector<Variable>& vars) {
   return ScalarMul(acc, 0.5f);
 }
 
+namespace {
+
+constexpr int64_t kLanes = simd::kExpSumLanes;
+
+/// Row maxima of `a` and `b` (n each) in one pass. Lane-blocked so the
+/// compiler can keep kLanes running maxima in vector registers; max is
+/// exact, so the blocking does not change the result. NaN entries are
+/// skipped here and surface through exp instead.
+void RowMax2(const float* a, const float* b, int64_t n, float* max_a,
+             float* max_b) {
+  float la[kLanes];
+  float lb[kLanes];
+  for (int64_t l = 0; l < kLanes; ++l) {
+    la[l] = -std::numeric_limits<float>::infinity();
+    lb[l] = -std::numeric_limits<float>::infinity();
+  }
+  int64_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    for (int64_t l = 0; l < kLanes; ++l) {
+      la[l] = a[j + l] > la[l] ? a[j + l] : la[l];
+      lb[l] = b[j + l] > lb[l] ? b[j + l] : lb[l];
+    }
+  }
+  for (int64_t l = 0; j + l < n; ++l) {
+    la[l] = a[j + l] > la[l] ? a[j + l] : la[l];
+    lb[l] = b[j + l] > lb[l] ? b[j + l] : lb[l];
+  }
+  float ma = la[0];
+  float mb = lb[0];
+  for (int64_t l = 1; l < kLanes; ++l) {
+    ma = la[l] > ma ? la[l] : ma;
+    mb = lb[l] > mb ? lb[l] : mb;
+  }
+  *max_a = ma;
+  *max_b = mb;
+}
+
+/// Σ_j v[j]·(m − s[j]·inv_tau) over kLanes double lanes: the teacher-weighted
+/// distance of the student logits below their row max. Every term is ≥ 0,
+/// so nothing cancels. At the masked entry (s = −inf, v = 0) the distance is
+/// clamped to FLT_MAX so the term is 0, not 0·inf.
+double CrossRowSum(const float* v, const float* s, float inv_tau, float m,
+                   int64_t n) {
+  constexpr float kBig = std::numeric_limits<float>::max();
+  double acc[kLanes] = {};
+  int64_t j = 0;
+  for (; j + kLanes <= n; j += kLanes) {
+    for (int64_t l = 0; l < kLanes; ++l) {
+      float d = m - s[j + l] * inv_tau;
+      d = d < kBig ? d : kBig;
+      acc[l] += static_cast<double>(v[j + l] * d);
+    }
+  }
+  for (int64_t l = 0; j + l < n; ++l) {
+    float d = m - s[j + l] * inv_tau;
+    d = d < kBig ? d : kBig;
+    acc[l] += static_cast<double>(v[j + l] * d);
+  }
+  double sum = 0.0;
+  for (int64_t l = 0; l < kLanes; ++l) sum += acc[l];
+  return sum;
+}
+
+}  // namespace
+
+Variable SoftmaxStructureDistillation(const Variable& student,
+                                      const Matrix& teacher,
+                                      float temperature) {
+  const Matrix& x = student.value();
+  const int64_t n = x.rows();
+  DARE_CHECK_EQ(teacher.rows(), n);
+  DARE_CHECK_GT(n, 1) << "distillation masks each row's self-similarity, so "
+                         "it needs at least two rows";
+  DARE_CHECK_GT(temperature, 0.0f);
+  const float inv_tau = 1.0f / temperature;
+
+  // Row i of the Gram matrix S (T) is formed and turned in place into the
+  // unnormalized row softmax u_ij = exp(S_ij/τ − m_i) (v_ij for T) while it
+  // is still in cache: each 4-row strip runs the blocked GEMM kernel, then
+  // the row pass. 1/Σ_j u_ij and 1/Σ_j v_ij are kept per row in `inv_sums`.
+  const int64_t d = x.cols();
+  ScratchMatrix xt(Ws(), x.size());
+  ScratchMatrix yt(Ws(), teacher.size());
+  TransposeInto(x, xt.get());
+  TransposeInto(teacher, yt.get());
+  ScratchMatrix u(Ws(), n, n);
+  ScratchMatrix v(Ws(), n, n);
+  ScratchMatrix inv_sums(Ws(), n, 2);
+  // Per-row losses as doubles (two float slots each), summed serially below.
+  ScratchMatrix row_loss(Ws(), 2 * n, 1);
+
+  const simd::KernelTable& kt = simd::Kernels();
+  constexpr int64_t kStrip = simd::kMatMulRowTile;
+  const int64_t strips = (n + kStrip - 1) / kStrip;
+  // About 64K multiply-adds per chunk (two GEMM rows plus the row pass).
+  const int64_t grain = std::max<int64_t>(
+      1, (int64_t{1} << 16) / (kStrip * n * (d + teacher.cols() + 8)));
+  core::ParallelFor(0, strips, grain, [&](int64_t s0, int64_t s1) {
+    const int64_t end = std::min(n, s1 * kStrip);
+    for (int64_t i0 = s0 * kStrip; i0 < end; i0 += kStrip) {
+      const int64_t i1 = std::min(n, i0 + kStrip);
+      kt.matmul_row_range(x.data(), xt->data(), u->data(), d, n, i0, i1);
+      kt.matmul_row_range(teacher.data(), yt->data(), v->data(),
+                          teacher.cols(), n, i0, i1);
+      for (int64_t i = i0; i < i1; ++i) {
+        float* urow = u->Row(i);
+        float* vrow = v->Row(i);
+        urow[i] = -std::numeric_limits<float>::infinity();
+        vrow[i] = -std::numeric_limits<float>::infinity();
+        float s_max = 0.0f;
+        float t_max = 0.0f;
+        RowMax2(urow, vrow, n, &s_max, &t_max);
+        // max(s)·(1/τ) == max(s·(1/τ)): rounding is monotone.
+        const float ms = s_max * inv_tau;
+        const float mt = t_max * inv_tau;
+        const double w = kt.exp_row_sum(vrow, inv_tau, mt, vrow, n);
+        // Σ_j t_ij (lse_i − a_ij) = Σ_j v_ij (m_i − a_ij) / W_i + log Z_i,
+        // read off the student logits before exp overwrites them.
+        const double cross = CrossRowSum(vrow, urow, inv_tau, ms, n);
+        const double z = kt.exp_row_sum(urow, inv_tau, ms, urow, n);
+        const double loss = cross / w + std::log(z);
+        std::memcpy(row_loss->data() + 2 * i, &loss, sizeof(loss));
+        (*inv_sums)(i, 0) = static_cast<float>(1.0 / z);
+        (*inv_sums)(i, 1) = static_cast<float>(1.0 / w);
+      }
+    }
+  });
+  double total = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    double loss;
+    std::memcpy(&loss, row_loss->data() + 2 * i, sizeof(loss));
+    total += loss;
+  }
+
+  Variable out = NewResult(1, 1);
+  out.mutable_value()(0, 0) =
+      static_cast<float>(total / static_cast<double>(n));
+  auto sn = student.node();
+  FinishOp(out, {sn},
+           [sn, n, inv_tau, u = std::move(u), v = std::move(v),
+            inv_sums = std::move(inv_sums)](Node& o) mutable {
+    if (!NeedsGrad(sn)) return;
+    // The forward's row loss is Σ_j v_ij (m_i − a_ij)/W_i + log Z_i, whose
+    // exact derivative in a_ij is p_ij − t_ij. With S = X·Xᵀ the gradient
+    // of X is (dS + dSᵀ)·X, dS = g/(nτ)·(p − t). One tiled pass overwrites
+    // u with the symmetric dS + dSᵀ, then one GEMM. The diagonal is never
+    // touched: the forward's masked exp left u_ii = +0 there.
+    const float gs =
+        (o.grad()(0, 0) * static_cast<float>(1.0 / static_cast<double>(n))) *
+        inv_tau;
+    Matrix& g = *u;
+    const Matrix& vm = *v;
+    const float* iz = inv_sums->data();  // (1/Z_i, 1/W_i) row pairs
+    constexpr int64_t kTile = 32;
+    const int64_t tiles = (n + kTile - 1) / kTile;
+    core::ParallelFor(0, tiles, 1, [&](int64_t b0, int64_t b1) {
+      // Mirror-side blocks are staged through L1-resident buffers: reading
+      // them column-wise in place strides by whole rows.
+      float gt[kTile][kTile];
+      float vt[kTile][kTile];
+      for (int64_t b = b0; b < b1; ++b) {
+        const int64_t r0 = b * kTile;
+        const int64_t r1 = std::min(n, r0 + kTile);
+        for (int64_t c0 = r0; c0 < n; c0 += kTile) {
+          const int64_t c1 = std::min(n, c0 + kTile);
+          for (int64_t c = c0; c < c1; ++c) {
+            std::copy(g.Row(c) + r0, g.Row(c) + r1, gt[c - c0]);
+            std::copy(vm.Row(c) + r0, vm.Row(c) + r1, vt[c - c0]);
+          }
+          for (int64_t r = r0; r < r1; ++r) {
+            float* grow = g.Row(r);
+            const float* vrow = vm.Row(r);
+            const float izr = iz[2 * r], iwr = iz[2 * r + 1];
+            // Only pairs above the diagonal; the diagonal tile starts at r+1.
+            for (int64_t c = std::max(c0, r + 1); c < c1; ++c) {
+              const float mirror = gt[c - c0][r - r0] * iz[2 * c] -
+                                   vt[c - c0][r - r0] * iz[2 * c + 1];
+              const float dg = gs * ((grow[c] * izr - vrow[c] * iwr) + mirror);
+              grow[c] = dg;
+              gt[c - c0][r - r0] = dg;
+            }
+          }
+          for (int64_t c = c0; c < c1; ++c) {
+            const int64_t r_end = c0 == r0 ? std::min(c, r1) : r1;
+            std::copy(gt[c - c0], gt[c - c0] + (r_end - r0), g.Row(c) + r0);
+          }
+        }
+      }
+    });
+    ScratchMatrix dx(Ws(), sn->value().size());
+    MatMulInto(g, sn->value(), false, false, dx.get());
+    sn->AccumulateGrad(*dx);
+  });
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Fused-traversal ops. Each replaces a whole chain of the ops above with one
 // node: the forward runs the chain's exact float sequence in a single pass
@@ -717,38 +917,6 @@ Variable FusedExpAffineSum(const Variable& a, float s1, float b1, float s2) {
     ScratchMatrix da(Ws(), an->value().size());
     FusedExpAffineSumGradInto(*y, s1, s2, g, da.get());
     an->AccumulateGrad(*da);
-  });
-  return out;
-}
-
-Variable FusedMulSubSum(const Variable& t, const Variable& a,
-                        const Variable& b) {
-  DARE_CHECK(t.value().SameShape(a.value()));
-  DARE_CHECK(a.value().SameShape(b.value()));
-  NoteFused();
-  Variable out = NewResult(1, 1);
-  out.mutable_value()(0, 0) = FusedMulSubSum(t.value(), a.value(), b.value());
-  auto tn = t.node();
-  auto an = a.node();
-  auto bn = b.node();
-  FinishOp(out, {tn, an, bn}, [tn, an, bn](Node& o) {
-    const bool need_t = NeedsGrad(tn);
-    const bool need_a = NeedsGrad(an);
-    const bool need_b = NeedsGrad(bn);
-    if (!need_t && !need_a && !need_b) return;
-    // Eager chain accumulation order: Mul backward hits t, then Sub backward
-    // hits a then b.
-    const float g = o.grad()(0, 0);
-    ScratchMatrix dt(Ws(), tn->value().size());
-    ScratchMatrix da(Ws(), an->value().size());
-    ScratchMatrix db(Ws(), bn->value().size());
-    FusedMulSubSumGradInto(tn->value(), an->value(), bn->value(), g,
-                           need_t ? dt.get() : nullptr,
-                           need_a ? da.get() : nullptr,
-                           need_b ? db.get() : nullptr);
-    if (need_t) tn->AccumulateGrad(*dt);
-    if (need_a) an->AccumulateGrad(*da);
-    if (need_b) bn->AccumulateGrad(*db);
   });
   return out;
 }

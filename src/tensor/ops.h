@@ -110,6 +110,21 @@ Variable MseLoss(const Variable& a, const Variable& b);
 /// L2 regularization: 0.5 * sum of squared elements over the given variables.
 Variable L2Penalty(const std::vector<Variable>& vars);
 
+/// Softmax relational distillation as one node (the sharpened form of the
+/// paper's Eq. 4–5, DESIGN.md §5). With S = student·studentᵀ and
+/// T = teacher·teacherᵀ, row i's logits are S_ij/τ and T_ij/τ over j ≠ i
+/// (the self-similarity is masked); the teacher's row softmax t_i is the
+/// target of the student's row log-softmax:
+///   loss = (1/n) Σ_i Σ_{j≠i} t_ij (lse_i − S_ij/τ).
+/// `teacher` is a constant: gradients reach `student` only. The forward
+/// keeps the two unnormalized row-softmax tables (2·n² pooled floats) for
+/// backward. Row sums are 16-lane blocked doubles and row losses are added
+/// serially, so value and gradient are bitwise independent of thread count
+/// and SIMD tier. Requires n ≥ 2 rows.
+Variable SoftmaxStructureDistillation(const Variable& student,
+                                      const Matrix& teacher,
+                                      float temperature);
+
 // --- Fused-traversal ops (expression fusion, DESIGN.md §14) ----------------
 //
 // Each op materializes a whole elementwise/reduction chain in one pass and
@@ -128,9 +143,6 @@ Variable FusedSquareSum(const Variable& a, bool has_bias, float bias,
                         bool has_scale, float scale);
 /// ≡ Sum(Exp(ScalarMul(AddScalar(ScalarMul(a, s1), b1), s2))) -> 1x1.
 Variable FusedExpAffineSum(const Variable& a, float s1, float b1, float s2);
-/// ≡ Sum(Mul(t, Sub(a, b))) -> 1x1.
-Variable FusedMulSubSum(const Variable& t, const Variable& a,
-                        const Variable& b);
 /// ≡ RowSum(Mul(RowL2Normalize(a, eps), RowL2Normalize(b, eps))) -> rows x 1.
 Variable FusedCosineRowSimilarity(const Variable& a, const Variable& b,
                                   float eps = 1e-12f);

@@ -12,6 +12,9 @@ namespace darec::tensor::simd {
 inline constexpr int64_t kMatMulRowTile = 4;   // C rows per register tile
 inline constexpr int64_t kMatMulColTile = 32;  // C cols per register tile
 
+/// Independent double accumulators of KernelTable::exp_row_sum.
+inline constexpr int64_t kExpSumLanes = 16;
+
 /// The ISA-specialized inner loops of the tensor hot path. One table per
 /// compiled tier (scalar / AVX2+FMA / AVX-512F); tensor/matrix.cc calls
 /// through the table returned by Kernels().
@@ -84,14 +87,6 @@ struct KernelTable {
   /// dx[i] = ((g * y[i]) * s2) * s1 over the forward's stashed y.
   void (*fused_exp_affine_grad)(float* dx, const float* y, float s1, float s2,
                                 float g, int64_t n);
-  /// Σ_i double(t[i] * d) with d = a[i] + (-1.0f)*b[i] —
-  /// Sum(Mul(t, Sub(a, b))).
-  double (*fused_mul_sub_sum)(const float* t, const float* a, const float* b,
-                              int64_t n);
-  /// dt[i] = g * d; da[i] = g * t[i]; db[i] = (g * t[i]) * (-1.0f).
-  void (*fused_mul_sub_grad)(float* dt, float* da, float* db, const float* t,
-                             const float* a, const float* b, float g,
-                             int64_t n);
   /// One row of RowSum(Mul(RowL2Normalize(a), RowL2Normalize(b))): norms as
   /// float(sqrt(Σ double(v)·v)), rows below eps pass through, dot as a
   /// double accumulation of the float products. Writes the two row norms to
@@ -108,6 +103,17 @@ struct KernelTable {
   /// da[c] = g * b[c]; db[c] = g * a[c].
   void (*fused_rowdot_row_grad)(float* da, float* db, const float* a,
                                 const float* b, float g, int64_t cols);
+
+  /// y[i] = exp(x[i] * scale - shift) for i in [0, n), returning Σ_i y[i]
+  /// as a kExpSumLanes-lane blocked double sum (lane i % kExpSumLanes, lanes
+  /// combined in ascending order). The exp is range reduction plus a
+  /// polynomial in plain float arithmetic (no libm call), so it vectorizes
+  /// and is bitwise identical across tiers; it is within 1 ulp of std::exp
+  /// on the normal range, exactly 0 for inputs below ln(FLT_MIN) (masked
+  /// -inf entries included), +inf above ln(FLT_MAX), NaN for NaN. `y` may
+  /// alias `x` exactly (in-place).
+  double (*exp_row_sum)(const float* x, float scale, float shift, float* y,
+                        int64_t n);
   const char* name;
 };
 

@@ -19,9 +19,9 @@ const KernelTable kAvx2Kernels = {
     &avx2_impl::FusedSubSumSq,  &avx2_impl::FusedSubGrad,
     &avx2_impl::FusedSquareSum, &avx2_impl::FusedSquareSumGrad,
     &avx2_impl::FusedExpAffineSum, &avx2_impl::FusedExpAffineGrad,
-    &avx2_impl::FusedMulSubSum, &avx2_impl::FusedMulSubGrad,
     &avx2_impl::FusedCosineRow, &avx2_impl::FusedCosineRowGrad,
     &avx2_impl::FusedRowDotRow, &avx2_impl::FusedRowDotRowGrad,
+    &avx2_impl::ExpRowSum,
     "avx2",
 };
 

@@ -19,9 +19,9 @@ const KernelTable kAvx512Kernels = {
     &avx512_impl::FusedSubSumSq,  &avx512_impl::FusedSubGrad,
     &avx512_impl::FusedSquareSum, &avx512_impl::FusedSquareSumGrad,
     &avx512_impl::FusedExpAffineSum, &avx512_impl::FusedExpAffineGrad,
-    &avx512_impl::FusedMulSubSum, &avx512_impl::FusedMulSubGrad,
     &avx512_impl::FusedCosineRow, &avx512_impl::FusedCosineRowGrad,
     &avx512_impl::FusedRowDotRow, &avx512_impl::FusedRowDotRowGrad,
+    &avx512_impl::ExpRowSum,
     "avx512",
 };
 

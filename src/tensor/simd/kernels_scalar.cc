@@ -18,9 +18,9 @@ const KernelTable kScalarKernels = {
     &scalar_impl::FusedSubSumSq,  &scalar_impl::FusedSubGrad,
     &scalar_impl::FusedSquareSum, &scalar_impl::FusedSquareSumGrad,
     &scalar_impl::FusedExpAffineSum, &scalar_impl::FusedExpAffineGrad,
-    &scalar_impl::FusedMulSubSum, &scalar_impl::FusedMulSubGrad,
     &scalar_impl::FusedCosineRow, &scalar_impl::FusedCosineRowGrad,
     &scalar_impl::FusedRowDotRow, &scalar_impl::FusedRowDotRowGrad,
+    &scalar_impl::ExpRowSum,
     "scalar",
 };
 

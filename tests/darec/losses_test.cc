@@ -1,8 +1,14 @@
 #include "darec/losses.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "core/cpu_features.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "gtest/gtest.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -179,6 +185,148 @@ TEST(GlobalStructureLossSoftmaxTest, MinimizationAlignsNeighborStructure) {
   }
   EXPECT_LT(GlobalStructureLossSoftmax(student, teacher, 0.5f).scalar(),
             initial * 0.8f);
+}
+
+/// The eager op chain GlobalStructureLossSoftmax ran before it became one
+/// node (tensor::SoftmaxStructureDistillation): a 1e4 diagonal mask matrix,
+/// scaled logits, a detached teacher softmax, RowLogSumExp broadcast by a
+/// rank-1 MatMul, and Sum(t ∘ (lse − s)) / n. Kept as the parity reference.
+Variable EagerSoftmaxStructureLoss(const Variable& shared_cf,
+                                   const Variable& shared_llm,
+                                   float temperature) {
+  const int64_t n = shared_cf.rows();
+  const float inv_tau = 1.0f / temperature;
+  Variable ncf = tensor::RowL2Normalize(shared_cf);
+  Variable nllm = tensor::RowL2Normalize(shared_llm);
+  Matrix mask(n, n);
+  for (int64_t i = 0; i < n; ++i) mask(i, i) = 1e4f;
+  Variable diag_mask = Variable::Constant(std::move(mask));
+  Variable logits_cf = tensor::Sub(
+      tensor::ScalarMul(tensor::MatMul(ncf, ncf, false, true), inv_tau),
+      diag_mask);
+  Variable logits_llm = tensor::Detach(tensor::Sub(
+      tensor::ScalarMul(tensor::MatMul(nllm, nllm, false, true), inv_tau),
+      diag_mask));
+  Variable targets = tensor::SoftmaxRows(logits_llm);
+  Variable lse_broadcast =
+      tensor::MatMul(tensor::RowLogSumExp(logits_cf),
+                     Variable::Constant(Matrix::Full(1, n, 1.0f)));
+  return tensor::ScalarMul(
+      tensor::Sum(tensor::Mul(targets, tensor::Sub(lse_broadcast, logits_cf))),
+      1.0f / static_cast<float>(n));
+}
+
+struct LossAndGrad {
+  float loss;
+  Matrix grad;
+};
+
+template <typename LossFn>
+LossAndGrad RunLoss(LossFn loss_fn, const Matrix& cf, const Matrix& llm,
+                    float temperature) {
+  Variable student = Variable::Parameter(cf);
+  Variable teacher = Variable::Parameter(llm);
+  Variable loss = loss_fn(student, teacher, temperature);
+  Backward(loss);
+  EXPECT_TRUE(teacher.grad().empty()) << "the teacher must stay detached";
+  return {loss.scalar(), student.grad()};
+}
+
+uint32_t FloatBits(float value) {
+  uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+void ExpectBitwiseEqual(const LossAndGrad& a, const LossAndGrad& b) {
+  EXPECT_EQ(FloatBits(a.loss), FloatBits(b.loss));
+  ASSERT_TRUE(a.grad.SameShape(b.grad));
+  for (int64_t i = 0; i < a.grad.size(); ++i) {
+    ASSERT_EQ(FloatBits(a.grad.data()[i]), FloatBits(b.grad.data()[i]))
+        << "gradient element " << i;
+  }
+}
+
+TEST(GlobalStructureLossSoftmaxTest, FusedNodeMatchesTheEagerChain) {
+  for (int64_t n : {2, 3, 17, 64, 300}) {
+    for (float tau : {0.05f, 0.5f, 2.0f}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " tau=" + std::to_string(tau));
+      core::Rng rng(100 + n);
+      const Matrix cf = tensor::RandomNormal(n, 8, 1.0f, rng);
+      const Matrix llm = tensor::RandomNormal(n, 8, 1.0f, rng);
+      const LossAndGrad fused =
+          RunLoss(GlobalStructureLossSoftmax, cf, llm, tau);
+      const LossAndGrad eager =
+          RunLoss(EagerSoftmaxStructureLoss, cf, llm, tau);
+      EXPECT_NEAR(fused.loss, eager.loss,
+                  1e-6f * std::fabs(eager.loss) + 1e-7f);
+      ASSERT_TRUE(fused.grad.SameShape(eager.grad));
+      for (int64_t i = 0; i < eager.grad.size(); ++i) {
+        ASSERT_NEAR(fused.grad.data()[i], eager.grad.data()[i], 1e-5f)
+            << "gradient element " << i;
+      }
+    }
+  }
+}
+
+TEST(GlobalStructureLossSoftmaxTest, BitwiseIndependentOfThreadsAndSimdTier) {
+  core::Rng rng(31);
+  // 300 rows: several row chunks and a ragged 64-row backward tile.
+  const Matrix cf = tensor::RandomNormal(300, 16, 1.0f, rng);
+  const Matrix llm = tensor::RandomNormal(300, 16, 1.0f, rng);
+  core::ThreadPool::SetGlobalThreads(1);
+  core::SetSimdLevelForTest(core::SimdLevel::kScalar);
+  const LossAndGrad reference =
+      RunLoss(GlobalStructureLossSoftmax, cf, llm, 0.5f);
+  for (int threads : {1, 8}) {
+    core::ThreadPool::SetGlobalThreads(threads);
+    for (core::SimdLevel level : {core::SimdLevel::kScalar,
+                                  core::SimdLevel::kAvx2,
+                                  core::SimdLevel::kAvx512}) {
+      if (level > core::HardwareSimdLevel()) continue;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " simd=" + core::SimdLevelName(level));
+      core::SetSimdLevelForTest(level);
+      ExpectBitwiseEqual(RunLoss(GlobalStructureLossSoftmax, cf, llm, 0.5f),
+                         reference);
+    }
+  }
+  core::ThreadPool::SetGlobalThreads(core::ThreadPool::DefaultThreads());
+  core::SetSimdLevelForTest(core::SimdLevelFromEnvOrDie());
+}
+
+TEST(GlobalStructureLossSoftmaxTest, MaskedDiagonalContributesExactlyNothing) {
+  // With two rows each row's only unmasked neighbor is the other row, so
+  // student and teacher softmaxes are both one-hot on it: the loss and its
+  // gradient are exactly zero. Any leak of the self-similarity would make
+  // the student row softmax less than one-hot and both nonzero.
+  core::Rng rng(32);
+  const Matrix cf = tensor::RandomNormal(2, 5, 1.0f, rng);
+  const Matrix llm = tensor::RandomNormal(2, 5, 1.0f, rng);
+  const LossAndGrad result = RunLoss(GlobalStructureLossSoftmax, cf, llm, 0.5f);
+  EXPECT_EQ(result.loss, 0.0f);
+  for (int64_t i = 0; i < result.grad.size(); ++i) {
+    EXPECT_EQ(result.grad.data()[i], 0.0f) << "gradient element " << i;
+  }
+}
+
+TEST(GlobalStructureLossSoftmaxTest, NanRowMakesTheLossNonFinite) {
+  // DivergenceGuard watches the step loss; a NaN embedding row must reach
+  // it through this term rather than being masked away.
+  core::Rng rng(33);
+  Matrix cf = tensor::RandomNormal(6, 4, 1.0f, rng);
+  const Matrix llm = tensor::RandomNormal(6, 4, 1.0f, rng);
+  cf(3, 0) = std::numeric_limits<float>::quiet_NaN();
+  Variable student = Variable::Parameter(cf);
+  EXPECT_FALSE(std::isfinite(
+      GlobalStructureLossSoftmax(student, Variable::Constant(llm), 0.5f)
+          .scalar()));
+  // Same for a NaN on the teacher side.
+  Matrix bad_llm = llm;
+  bad_llm(1, 2) = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(std::isfinite(GlobalStructureLossSoftmax(
+      Variable::Parameter(tensor::RandomNormal(6, 4, 1.0f, rng)),
+      Variable::Constant(bad_llm), 0.5f).scalar()));
 }
 
 /// Two tight blobs near the given 3-D centers.

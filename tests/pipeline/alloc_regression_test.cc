@@ -6,11 +6,14 @@
 #include <cstring>
 #include <vector>
 
+#include "core/rng.h"
+#include "darec/losses.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 #include "tensor/alloc_stats.h"
 #include "tensor/expr.h"
+#include "tensor/init.h"
 
 namespace darec::pipeline {
 namespace {
@@ -148,6 +151,35 @@ TEST(AllocRegressionTest, FusedSteadyStateEpochsStayAllocationFree) {
       << "fusion broke the steady-state allocation budget: "
       << fused.steady_allocations << " allocs / " << fused.steady_bytes
       << " bytes over two epochs";
+}
+
+TEST(AllocRegressionTest, SharpenedStructureLossIsAllocationFreeWhenWarm) {
+  // The fused softmax-distillation node keeps its two N̂×N̂ softmax tables,
+  // the Gram transposes and the per-row sums in Workspace buffers, so once
+  // the pool is warm a forward+backward under a GraphContext allocates
+  // nothing.
+  core::Rng rng(17);
+  tensor::Variable student =
+      tensor::Variable::Parameter(tensor::RandomNormal(256, 16, 1.0f, rng));
+  tensor::Variable teacher =
+      tensor::Variable::Constant(tensor::RandomNormal(256, 16, 1.0f, rng));
+  tensor::GraphContext ctx;
+  auto step = [&] {
+    tensor::GraphContext::Scope scope(&ctx);
+    student.ClearGrad();
+    tensor::Backward(model::GlobalStructureLossSoftmax(student, teacher, 0.5f));
+    ctx.Reset();
+  };
+  step();  // Warm-up: arena slots and pooled buffers fill here.
+  const bool was_enabled = AllocStats::Enabled();
+  AllocStats::SetEnabled(true);
+  AllocStats::Reset();
+  for (int i = 0; i < 3; ++i) step();
+  const AllocStats::Snapshot steady = AllocStats::Take();
+  AllocStats::SetEnabled(was_enabled);
+  EXPECT_EQ(steady.allocations, 0)
+      << steady.allocations << " allocs / " << steady.bytes << " bytes";
+  EXPECT_FALSE(student.grad().empty());
 }
 
 TEST(AllocRegressionTest, ArenaRecyclesSlotsAcrossEpochs) {

@@ -20,7 +20,7 @@
 #include "data/shards.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 
 namespace darec::pipeline {
 namespace {
@@ -62,7 +62,11 @@ struct GoldenTrace {
   uint64_t ndcg20_bits;
 };
 
-// Frozen from the pre-refactor trainer (identical at 1 and 8 threads).
+// Frozen from the pre-refactor trainer (identical at 1 and 8 threads). The
+// darec trace and its checkpoint CRCs were re-frozen once, when the
+// sharpened global loss became one node with its own exp and summation
+// order (DESIGN.md §5): epochs 2 and 5 moved by 1 and 11 float ulps, the
+// other epochs and both metrics kept their bits.
 const std::vector<GoldenTrace>& Traces() {
   static const std::vector<GoldenTrace> traces{
       {"baseline",
@@ -77,10 +81,10 @@ const std::vector<GoldenTrace>& Traces() {
       {"darec",
        /*early_stopping=*/false,
        {0x3fccc723c0000000ull,   // 0.22482725977897644
-        0x3fc9aa70c0000000ull,   // 0.20051392912864685
+        0x3fc9aa70e0000000ull,   // 0.20051394402980804
         0x3fc7e0aea0000000ull,   // 0.18654425442218781
         0x3fc265b1b0000000ull,   // 0.14372845739126205
-        0x3fbb492ae0000000ull},  // 0.10658519715070724
+        0x3fbb492c40000000ull},  // 0.10658527910709381
        0x3fd06cb612e006caull,    // recall@20 = 0.25663520663520656
        0x3fbcfe70b34a5473ull},   // ndcg@20   = 0.11325744988637769
   };
@@ -203,9 +207,9 @@ TEST_F(GoldenTraceTest, CheckpointBytesMatchPreRefactorTrainer) {
   };
   // keep_last_checkpoints=3 rotates the step-0 file away by the end.
   const std::vector<GoldenFile> golden_files{
-      {"ckpt-000000000001.dckp", 66747, 0x42c5e38e},
-      {"ckpt-000000000002.dckp", 80835, 0x8964857a},
-      {"ckpt-000000000003.dckp", 80843, 0x65bdb4a0},
+      {"ckpt-000000000001.dckp", 66747, 0x470bf572},
+      {"ckpt-000000000002.dckp", 80835, 0xcaefc0da},
+      {"ckpt-000000000003.dckp", 80843, 0x3eef58dc},
   };
 
   const std::string dir = ::testing::TempDir() + "/golden_trace_ckpt";
@@ -336,9 +340,9 @@ TEST_F(GoldenTraceTest, StreamedShardedCheckpointsCarryTheFrozenState) {
     uint32_t crc;
   };
   const std::vector<GoldenFile> golden_files{
-      {1, 66747, 0x42c5e38e},
-      {2, 80835, 0x8964857a},
-      {3, 80843, 0x65bdb4a0},
+      {1, 66747, 0x470bf572},
+      {2, 80835, 0xcaefc0da},
+      {3, 80843, 0x3eef58dc},
   };
 
   const std::string dir = ::testing::TempDir() + "/golden_trace_sharded_ckpt";

@@ -8,7 +8,7 @@
 #include "core/failpoint.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 
 namespace darec::pipeline {
 namespace {

@@ -8,7 +8,7 @@
 #include "ckpt/serialize.h"
 #include "gtest/gtest.h"
 #include "pipeline/experiment.h"
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 #include "tensor/matrix.h"
 
 namespace darec::pipeline {

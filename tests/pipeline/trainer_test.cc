@@ -1,4 +1,4 @@
-#include "pipeline/trainer.h"
+#include "pipeline/train_loop.h"
 
 #include <cmath>
 

@@ -125,11 +125,6 @@ std::vector<ChainCase> AllChains() {
                                -2.0f))),
              0.25f)));
        }},
-      {"mul_sub_sum", 3, true,
-       [](const std::vector<Variable>& in) {
-         return Eval(ScalarMul(
-             Sum(Mul(In(in[0]), Sub(In(in[1]), In(in[2])))), 0.5f));
-       }},
       {"cosine_rows", 2, true,
        [](const std::vector<Variable>& in) {
          return Eval(Mean(Square(
